@@ -457,7 +457,9 @@ func New(eng *sim.Engine, cfg Config) (Controller, error) {
 	case OrgRAID5, OrgParityStriping:
 		s = &parityScheme{c: c, lay: lay.(layout.ParityLayout), o: cfg.Org}
 	case OrgRAID4:
-		s = &raid4Scheme{parityScheme: parityScheme{c: c, lay: lay.(layout.ParityLayout), o: OrgRAID4}}
+		r4 := &raid4Scheme{parityScheme: parityScheme{c: c, lay: lay.(layout.ParityLayout), o: OrgRAID4}}
+		r4.spoolDoneFn = r4.spoolDone
+		s = r4
 	}
 	c.sch = s
 
@@ -519,8 +521,9 @@ type common struct {
 	// entry; empty on classless arrays.
 	cls []classAcct
 
-	fs faultState
-	rb robustState
+	fs  faultState
+	rb  robustState
+	ops opPools
 }
 
 func newCommon(eng *sim.Engine, cfg Config, ndisks int) (*common, error) {
@@ -712,30 +715,6 @@ func (c *common) baseResults(org Org) *Results {
 		r.SeekDistMean = float64(distSum) / float64(seeks)
 	}
 	return r
-}
-
-// latch runs fn once n completions have been signalled. A latch created
-// with n == 0 fires immediately.
-type latch struct {
-	n  int
-	fn func()
-}
-
-func newLatch(n int, fn func()) *latch {
-	l := &latch{n: n, fn: fn}
-	if n == 0 {
-		fn()
-	}
-	return l
-}
-
-func (l *latch) done() {
-	l.n--
-	if l.n == 0 {
-		l.fn()
-	} else if l.n < 0 {
-		panic("array: latch over-released")
-	}
 }
 
 func (c *common) checkRequest(r Request, capacity int64) {

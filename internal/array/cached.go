@@ -20,6 +20,8 @@ type cachedCtrl struct {
 	ccfg   cache.Config
 	ticker *sim.Ticker
 
+	hasOldFn func(int64) bool // cc.hasOld, bound once
+
 	// epoch counts NVRAM cache failures. In-flight destages capture it at
 	// issue time and skip their CompleteDestage bookkeeping when stale —
 	// the entries they would complete died with the old cache.
@@ -36,6 +38,7 @@ func newCached(c *common, s scheme) (*cachedCtrl, error) {
 		return nil, err
 	}
 	cc := &cachedCtrl{common: c, s: s, c: nvc, ccfg: ccfg}
+	cc.hasOldFn = cc.hasOld
 	// cc.c is read at sample time, so the closure survives the cache
 	// module being swapped out after an NVRAM failure.
 	c.dirtyFrac = func() float64 {
@@ -62,7 +65,7 @@ func (cc *cachedCtrl) writeBackMarked(lbas []int64, pri disk.Priority, spread si
 		lbas:   lbas,
 		pri:    pri,
 		spread: spread,
-		hasOld: cc.hasOld,
+		hasOld: cc.hasOldFn,
 		span:   sp,
 		onDone: func() {
 			if cc.epoch == ep {
@@ -229,94 +232,107 @@ func (cc *cachedCtrl) Submit(r Request) {
 		return
 	}
 	start, sp := cc.begin(r.Op != trace.Read)
+	e := cc.newEnv(r, start, sp)
+	e.cc = cc
 	if r.Op == trace.Read {
-		cc.read(r, start, sp)
+		cc.read(e)
 	} else {
-		cc.write(r, start, sp)
+		cc.write(e)
 	}
 }
 
 // read serves hits from the cache (channel time only) and fetches misses
 // from disk. A multiblock request counts as a hit only when every block
 // is cached.
-func (cc *cachedCtrl) read(r Request, start sim.Time, sp *obs.Span) {
-	var missing []int64
-	for i := 0; i < r.Blocks; i++ {
-		l := r.LBA + int64(i)
+func (cc *cachedCtrl) read(e *reqEnv) {
+	missing := e.lbas[:0]
+	for _, l := range e.lbas {
 		if !cc.c.Touch(l) {
 			missing = append(missing, l)
 		}
 	}
-	measured := start >= cc.cfg.Warmup
+	e.lbas = missing
+	measured := e.start >= cc.cfg.Warmup
 	if len(missing) == 0 {
 		if measured {
 			cc.readHits++
 		}
-		cc.chanXferSpan(r.Blocks, sp, func() { cc.finish(r, start, sp) })
+		cc.chanXferSpan(e.r.Blocks, e.sp, e.finishFn)
 		return
 	}
 	if measured {
 		cc.readMisses++
 	}
-	cc.makeRoom(len(missing), sp, func() {
-		// A concurrent miss may have inserted some blocks meanwhile.
-		fetch := missing[:0]
-		for _, l := range missing {
-			if !cc.c.Contains(l) {
-				cc.c.Insert(l, false)
-				fetch = append(fetch, l)
-			}
+	cc.makeRoom(len(missing), e.sp, e.fetchFn)
+}
+
+// fetchMissing reads the missed blocks in e.lbas once the cache has room
+// for them.
+func (e *reqEnv) fetchMissing() {
+	cc := e.cc
+	// A concurrent miss may have inserted some blocks meanwhile.
+	fetch := e.lbas[:0]
+	for _, l := range e.lbas {
+		if !cc.c.Contains(l) {
+			cc.c.Insert(l, false)
+			fetch = append(fetch, l)
 		}
-		if len(fetch) == 0 {
-			cc.chanXferSpan(r.Blocks, sp, func() { cc.finish(r, start, sp) })
-			return
-		}
-		runs := cc.s.fetchRuns(fetch)
-		cc.readRuns(runs, r.Blocks, sp, func() { cc.finish(r, start, sp) })
-	})
+	}
+	e.lbas = fetch
+	if len(fetch) == 0 {
+		cc.chanXferSpan(e.r.Blocks, e.sp, e.finishFn)
+		return
+	}
+	op := cc.newReadOp()
+	op.runs = cc.s.fetchRuns(op.runs[:0], fetch)
+	cc.readRuns(op, e.r.Blocks, e.sp, e.finishFn)
 }
 
 // write lands the data in the NV cache: channel transfer, then per-block
 // bookkeeping. The response completes without touching a disk unless a
 // dirty block must be evicted to make room.
-func (cc *cachedCtrl) write(r Request, start sim.Time, sp *obs.Span) {
+func (cc *cachedCtrl) write(e *reqEnv) {
 	allHit := true
-	for i := 0; i < r.Blocks; i++ {
-		if !cc.c.Contains(r.LBA + int64(i)) {
+	for _, l := range e.lbas {
+		if !cc.c.Contains(l) {
 			allHit = false
 			break
 		}
 	}
-	if start >= cc.cfg.Warmup {
+	if e.start >= cc.cfg.Warmup {
 		if allHit {
 			cc.writeHits++
 		} else {
 			cc.writeMisses++
 		}
 	}
-	cc.chanXferSpan(r.Blocks, sp, func() {
-		cc.insertDirty(r.LBA, r.Blocks, 0, sp, func() { cc.finish(r, start, sp) })
-	})
+	e.next = 0
+	cc.chanXferSpan(e.r.Blocks, e.sp, e.insertFn)
 }
 
-// insertDirty processes block i of the write, serializing room-making.
-func (cc *cachedCtrl) insertDirty(lba int64, n, i int, sp *obs.Span, done func()) {
-	if i == n {
-		done()
-		return
-	}
-	l := lba + int64(i)
-	if cc.c.Contains(l) {
-		cc.c.MarkDirty(l)
-		cc.insertDirty(lba, n, i+1, sp, done)
-		return
-	}
-	cc.makeRoom(1, sp, func() {
-		if cc.c.Contains(l) {
-			cc.c.MarkDirty(l)
-		} else {
-			cc.c.Insert(l, true)
+// insertDirty marks the write's blocks dirty from e.next on, serializing
+// room-making: a block not yet cached waits for a free slot.
+func (e *reqEnv) insertDirty() {
+	cc := e.cc
+	for ; e.next < len(e.lbas); e.next++ {
+		l := e.lbas[e.next]
+		if !cc.c.Contains(l) {
+			cc.makeRoom(1, e.sp, e.placeFn)
+			return
 		}
-		cc.insertDirty(lba, n, i+1, sp, done)
-	})
+		cc.c.MarkDirty(l)
+	}
+	e.finish()
+}
+
+// placeDirty lands block e.next once makeRoom has freed a slot.
+func (e *reqEnv) placeDirty() {
+	cc := e.cc
+	if l := e.lbas[e.next]; cc.c.Contains(l) {
+		cc.c.MarkDirty(l)
+	} else {
+		cc.c.Insert(l, true)
+	}
+	e.next++
+	e.insertDirty()
 }

@@ -230,7 +230,7 @@ func (c *common) sweepRebuild(d int, pos int64, started sim.Time) {
 		chunk.SetDisk(d)
 		chunk.SetBlocks(n)
 	}
-	read := newLatch(len(srcs), func() {
+	read := join(len(srcs), func() {
 		var wr *obs.Span
 		if chunk != nil {
 			wr = chunk.Child("rebuild-write", c.eng.Now())
@@ -262,7 +262,7 @@ func (c *common) sweepRebuild(d int, pos int64, started sim.Time) {
 		}
 		c.disks[s].Submit(&disk.Request{
 			StartBlock: pos, Blocks: n,
-			Priority: disk.PriBackground, Span: rd, OnDone: read.done,
+			Priority: disk.PriBackground, Span: rd, OnDone: read,
 		})
 	}
 }
@@ -291,59 +291,6 @@ func (c *common) readRun(rn run, pri disk.Priority, op *obs.Span, onDone func())
 	c.mediaRead(rn, pri, 0, 0, op, onDone)
 }
 
-// mediaRead issues one device read pass. tries counts latent-sector-
-// error retries (injector-bounded), att counts transient-error retries
-// (robustness-layer-bounded, with backoff) — independent budgets for
-// independent failure modes.
-func (c *common) mediaRead(rn run, pri disk.Priority, tries, att int, op *obs.Span, onDone func()) {
-	c.disks[rn.disk].Submit(&disk.Request{
-		StartBlock: rn.start, Blocks: rn.blocks, Priority: pri, Span: op,
-		OnDone: func() {
-			// The drive may have died while this access was queued (it was
-			// dropped) — the "data" cannot be trusted either way.
-			if c.fs.nfailed > 0 && c.fs.failed[rn.disk] {
-				c.fallbackRead(rn, pri, op, onDone)
-				return
-			}
-			if c.fs.inj != nil && c.fs.inj.TransientFaulty(rn.disk, rn.blocks) {
-				c.fs.transientErrors++
-				if att < c.rb.cfg.Retries {
-					c.rb.retries++
-					c.cfg.Rec.Retry(c.eng.Now(), rn.disk, att+1)
-					issuedAt := c.eng.Now()
-					c.eng.After(c.retryDelay(att), func() {
-						if now := c.eng.Now(); now > issuedAt {
-							op.ChildSpan("retry-backoff", issuedAt, now)
-						}
-						c.mediaRead(rn, pri, tries, att+1, op, onDone)
-					})
-					return
-				}
-				// Budget spent (or no retries configured): recover the run
-				// from redundancy instead of hammering the sick drive.
-				if c.rb.cfg.Retries > 0 {
-					c.rb.retriesExhausted++
-					c.rb.attemptsExhausted += int64(c.rb.cfg.Retries)
-				}
-				c.fallbackRead(rn, pri, op, onDone)
-				return
-			}
-			if c.fs.inj == nil || !c.fs.inj.SectorFaulty(rn.blocks) {
-				onDone()
-				return
-			}
-			c.fs.sectorErrors++
-			if tries < c.fs.inj.MaxReadRetries() {
-				c.fs.sectorRetries++
-				c.mediaRead(rn, pri, tries+1, att, op, onDone)
-				return
-			}
-			c.fs.sectorReconstructs++
-			c.fallbackRead(rn, pri, op, onDone)
-		},
-	})
-}
-
 // fallbackRead recovers a read run from redundancy, or counts it lost.
 func (c *common) fallbackRead(rn run, pri disk.Priority, op *obs.Span, onDone func()) {
 	done := onDone
@@ -366,16 +313,18 @@ func (c *common) filterWriteRuns(runs []run) ([]run, int) {
 	if c.fs.nfailed == 0 {
 		return runs, 0
 	}
-	out := runs[:0]
-	dropped := 0
-	for _, rn := range runs {
-		if c.writeDown(rn.disk) {
-			dropped += rn.blocks
+	// Compact by swapping, not copying: every slot keeps a distinct lbas
+	// backing, which the run list's next reuse appends into.
+	n, dropped := 0, 0
+	for i := range runs {
+		if c.writeDown(runs[i].disk) {
+			dropped += runs[i].blocks
 			continue
 		}
-		out = append(out, rn)
+		runs[n], runs[i] = runs[i], runs[n]
+		n++
 	}
-	return out, dropped
+	return runs[:n], dropped
 }
 
 // faultResults snapshots the accounting.

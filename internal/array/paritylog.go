@@ -74,13 +74,16 @@ func (pl *parityLogCtrl) Submit(r Request) {
 	pl.checkRequest(r, pl.lay.DataBlocks())
 	start, sp := pl.begin(r.Op != trace.Read)
 	if r.Op == trace.Read {
-		pl.readRuns(dataRunsSpan(pl.lay, r.LBA, r.Blocks), r.Blocks, sp, func() { pl.finish(r, start, sp) })
+		env := pl.newEnv(r, start, sp)
+		op := pl.newReadOp()
+		op.runs = dataRuns(op.runs[:0], pl.lay, env.lbas)
+		pl.readRuns(op, r.Blocks, sp, env.finishFn)
 		return
 	}
 	// Writes: data RMW (the old data is needed for the parity-update
 	// image) unless the stripe is fully overwritten; no parity disk
 	// access in the foreground — the update image goes to the log.
-	plan := planUpdate(pl.lay, spanLBAs(r.LBA, r.Blocks), nil)
+	plan := planUpdate(pl.lay, appendSpan(nil, r.LBA, r.Blocks), nil)
 	n := len(plan.dataRuns)
 	admitStart := pl.eng.Now()
 	pl.buf.Acquire(n, func() {
@@ -88,7 +91,7 @@ func (pl *parityLogCtrl) Submit(r Request) {
 			sp.ChildSpan(obs.SpanAdmit, admitStart, now)
 		}
 		pl.chanXferSpan(r.Blocks, sp, func() {
-			done := newLatch(n, func() {
+			done := join(n, func() {
 				pl.buf.Release(n)
 				pl.finish(r, start, sp)
 			})
@@ -97,7 +100,7 @@ func (pl *parityLogCtrl) Submit(r Request) {
 					StartBlock: rn.start, Blocks: rn.blocks, Write: true,
 					Priority: disk.PriNormal,
 					RMW:      plan.dataRMW[ri],
-					OnDone:   done.done,
+					OnDone:   done,
 				}
 				if sp != nil {
 					name := "write-data"

@@ -64,7 +64,7 @@ func (r3 *raid3Ctrl) Submit(r Request) {
 			if now := r3.eng.Now(); now > admitStart {
 				sp.ChildSpan(obs.SpanAdmit, admitStart, now)
 			}
-			done := newLatch(r3.n, func() {
+			done := join(r3.n, func() {
 				r3.chanXferSpan(r.Blocks, sp, func() {
 					r3.buf.Release(nbuf)
 					r3.finish(r, start, sp)
@@ -81,7 +81,7 @@ func (r3 *raid3Ctrl) Submit(r Request) {
 					TransferSectors: sectors,
 					Priority:        disk.PriNormal,
 					Span:            op,
-					OnDone:          done.done,
+					OnDone:          done,
 				})
 			}
 		})
@@ -96,7 +96,7 @@ func (r3 *raid3Ctrl) Submit(r Request) {
 			sp.ChildSpan(obs.SpanAdmit, admitStart, now)
 		}
 		r3.chanXferSpan(r.Blocks, sp, func() {
-			done := newLatch(r3.n+1, func() {
+			done := join(r3.n+1, func() {
 				r3.buf.Release(nbuf)
 				r3.finish(r, start, sp)
 			})
@@ -116,7 +116,7 @@ func (r3 *raid3Ctrl) Submit(r Request) {
 					Write:           true,
 					Priority:        disk.PriNormal,
 					Span:            op,
-					OnDone:          done.done,
+					OnDone:          done,
 				}
 				if d == r3.n {
 					r3.parityAccesses++

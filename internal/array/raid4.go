@@ -4,7 +4,6 @@ import (
 	"raidsim/internal/cache"
 	"raidsim/internal/disk"
 	"raidsim/internal/obs"
-	"raidsim/internal/sim"
 )
 
 // raid4Scheme is the RAID4-with-parity-caching organization of section
@@ -22,6 +21,14 @@ type raid4Scheme struct {
 	spooling bool
 	scanPos  int64 // C-SCAN position on the parity disk
 	stalled  []func()
+
+	// The spool's one in-flight parity access, with its completion bound
+	// once (see ops.go).
+	spoolReq    disk.Request
+	spoolKey    cache.ParityKey
+	spoolRoot   *obs.Span
+	spoolEpoch  int
+	spoolDoneFn func()
 }
 
 func (s *raid4Scheme) write(w writeOp) {
@@ -32,28 +39,14 @@ func (s *raid4Scheme) write(w writeOp) {
 		s.c.parityDegradedWrite(s.lay, w)
 		return
 	}
-	plan := planUpdate(s.lay, w.lbas, w.hasOld)
-	nbuf := len(plan.dataRuns)
-	var stagger sim.Time
-	if len(plan.dataRuns) > 1 && w.spread > 0 {
-		stagger = w.spread / sim.Time(len(plan.dataRuns))
-	}
-	s.c.acquireAndXfer(nbuf, w.xfer, w.span, func() {
-		s.c.executeUpdate(plan, updateOpts{
-			policy:  RF, // enqueue parity once its inputs are read
-			pri:     w.pri,
-			stagger: stagger,
-			span:    w.span,
-			parityIssuer: func(pr parityRun, ready func() bool, done func()) {
-				s.enqueueParityRun(pr, 0, done)
-			},
-			// Track buffers serve the data disks; spooled parity lives in
-			// cache slots, so release as soon as the data writes land.
-			onDataDone: func() { s.c.buf.Release(nbuf) },
-			onDone:     w.onDone,
-		})
-	})
+	op := s.c.newUpdateOp(w)
+	op.plan.build(s.lay, w.lbas, w.hasOld)
+	// Enqueue parity once its inputs are read.
+	s.c.parityUpdate(op, RF, s)
 }
+
+// spoolParity implements paritySpool.
+func (s *raid4Scheme) spoolParity(pr parityRun, done func()) { s.enqueueParityRun(pr, 0, done) }
 
 // enqueueParityRun admits the run's parity blocks into the spool one by
 // one. When the cache is full it first reclaims clean blocks ("writes
@@ -115,43 +108,46 @@ func (s *raid4Scheme) spool() {
 	}
 	s.spooling = true
 	s.c.parityAccesses++
-	ep := s.cc.epoch
+	s.spoolKey, s.spoolEpoch = pick.Key, s.cc.epoch
 	// Each spool access is its own background trace tree; the disk layer
 	// hangs the mechanism phases directly under its root.
-	var root *obs.Span
+	s.spoolRoot = nil
 	if s.c.tr != nil {
-		root = s.c.tr.StartBackground("parity-spool", s.c.eng.Now())
-		root.SetBlocks(1)
+		s.spoolRoot = s.c.tr.StartBackground("parity-spool", s.c.eng.Now())
+		s.spoolRoot.SetBlocks(1)
 	}
-	req := &disk.Request{
+	s.spoolReq = disk.Request{
 		StartBlock: pick.Key.Block,
 		Blocks:     1,
 		Write:      true,
+		RMW:        !pick.Full,
 		Priority:   disk.PriBackground,
-		Span:       root,
-		OnDone: func() {
-			if root != nil {
-				s.c.tr.FinishBackground(root, s.c.eng.Now())
-			}
-			s.scanPos = pick.Key.Block + 1
-			// Guard against an NVRAM failure that replaced the cache (and
-			// its spool) while this access was in flight.
-			if s.cc.epoch == ep {
-				s.cc.c.RemoveParityPending(pick.Key)
-			}
-			s.spooling = false
-			// A freed slot may unblock stalled destages.
-			if len(s.stalled) > 0 {
-				w := s.stalled[0]
-				copy(s.stalled, s.stalled[1:])
-				s.stalled = s.stalled[:len(s.stalled)-1]
-				w()
-			}
-			s.spool()
-		},
+		Span:       s.spoolRoot,
+		OnDone:     s.spoolDoneFn,
 	}
-	if !pick.Full {
-		req.RMW = true
+	s.c.disks[pick.Key.Disk].Submit(&s.spoolReq)
+}
+
+// spoolDone retires the spooled parity block just written and moves the
+// sweep on.
+func (s *raid4Scheme) spoolDone() {
+	if s.spoolRoot != nil {
+		s.c.tr.FinishBackground(s.spoolRoot, s.c.eng.Now())
+		s.spoolRoot = nil
 	}
-	s.c.disks[pick.Key.Disk].Submit(req)
+	s.scanPos = s.spoolKey.Block + 1
+	// Guard against an NVRAM failure that replaced the cache (and its
+	// spool) while this access was in flight.
+	if s.cc.epoch == s.spoolEpoch {
+		s.cc.c.RemoveParityPending(s.spoolKey)
+	}
+	s.spooling = false
+	// A freed slot may unblock stalled destages.
+	if len(s.stalled) > 0 {
+		w := s.stalled[0]
+		copy(s.stalled, s.stalled[1:])
+		s.stalled = s.stalled[:len(s.stalled)-1]
+		w()
+	}
+	s.spool()
 }

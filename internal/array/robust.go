@@ -384,6 +384,9 @@ func (c *common) readRunHedged(rn run, pri disk.Priority, op *obs.Span, onDone f
 		c.readRun(rn, pri, op, onDone)
 		return
 	}
+	// The losing leg outlives its request, and with it the run list rn.lbas
+	// points into; the mirror fallback never reads lbas, so drop them.
+	rn.lbas = nil
 	h := &hedgeOp{c: c, alt: alt, pri: pri, op: op, onDone: onDone}
 	h.timer = c.eng.AfterCall(delay, hedgeFire)
 	h.timer.A = h

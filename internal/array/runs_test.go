@@ -1,6 +1,8 @@
 package array
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"raidsim/internal/layout"
@@ -8,7 +10,7 @@ import (
 
 func TestDataRunsBaseContiguous(t *testing.T) {
 	lay := layout.NewBase(4, 100)
-	runs := dataRunsSpan(lay, 95, 10) // crosses from disk 0 into disk 1
+	runs := dataRuns(nil, lay, appendSpan(nil, 95, 10)) // crosses from disk 0 into disk 1
 	if len(runs) != 2 {
 		t.Fatalf("got %d runs, want 2", len(runs))
 	}
@@ -33,7 +35,7 @@ func TestDataRunsCoverEveryBlock(t *testing.T) {
 	}
 	for _, lay := range lays {
 		for _, span := range []struct{ lba, n int64 }{{0, 17}, {30, 8}, {59, 1}} {
-			runs := dataRunsSpan(lay, span.lba, int(span.n))
+			runs := dataRuns(nil, lay, appendSpan(nil, span.lba, int(span.n)))
 			seen := map[int64]bool{}
 			total := 0
 			for _, r := range runs {
@@ -61,7 +63,7 @@ func TestDataRunsCoverEveryBlock(t *testing.T) {
 
 func TestPlanUpdateFullStripe(t *testing.T) {
 	lay := layout.NewRAID5(4, 100, 1) // stripe = 4 consecutive blocks
-	plan := planUpdate(lay, spanLBAs(0, 4), nil)
+	plan := planUpdate(lay, appendSpan(nil, 0, 4), nil)
 	if len(plan.parityRuns) != 1 {
 		t.Fatalf("parity runs: %d", len(plan.parityRuns))
 	}
@@ -80,7 +82,7 @@ func TestPlanUpdateFullStripe(t *testing.T) {
 
 func TestPlanUpdatePartialStripe(t *testing.T) {
 	lay := layout.NewRAID5(4, 100, 1)
-	plan := planUpdate(lay, spanLBAs(0, 1), nil)
+	plan := planUpdate(lay, appendSpan(nil, 0, 1), nil)
 	if len(plan.dataRuns) != 1 || len(plan.parityRuns) != 1 {
 		t.Fatalf("runs: %d data %d parity", len(plan.dataRuns), len(plan.parityRuns))
 	}
@@ -97,7 +99,7 @@ func TestPlanUpdatePartialStripe(t *testing.T) {
 
 func TestPlanUpdateWithOldDataCached(t *testing.T) {
 	lay := layout.NewRAID5(4, 100, 1)
-	plan := planUpdate(lay, spanLBAs(0, 1), func(int64) bool { return true })
+	plan := planUpdate(lay, appendSpan(nil, 0, 1), func(int64) bool { return true })
 	if plan.dataRMW[0] {
 		t.Fatal("old data in cache: data write should be plain")
 	}
@@ -113,7 +115,7 @@ func TestPlanUpdateMixedCoverage(t *testing.T) {
 	// 5 blocks at SU=1 over N=4: stripe 0 fully covered (blocks 0-3),
 	// stripe 1 partially (block 4).
 	lay := layout.NewRAID5(4, 100, 1)
-	plan := planUpdate(lay, spanLBAs(0, 5), nil)
+	plan := planUpdate(lay, appendSpan(nil, 0, 5), nil)
 	full, partial := 0, 0
 	for _, pr := range plan.parityRuns {
 		if pr.full {
@@ -142,7 +144,7 @@ func TestPlanUpdateParityDedup(t *testing.T) {
 	// block has its own parity block (same stripe, different offsets) —
 	// they should merge into one contiguous parity run.
 	lay := layout.NewRAID5(4, 100, 2)
-	plan := planUpdate(lay, spanLBAs(0, 2), nil)
+	plan := planUpdate(lay, appendSpan(nil, 0, 2), nil)
 	if len(plan.parityRuns) != 1 || plan.parityRuns[0].blocks != 2 {
 		t.Fatalf("parity runs: %+v", plan.parityRuns)
 	}
@@ -150,7 +152,7 @@ func TestPlanUpdateParityDedup(t *testing.T) {
 
 func TestPlanUpdateParityStriping(t *testing.T) {
 	lay := layout.NewParityStriping(4, 100, layout.MiddlePlacement, 0)
-	plan := planUpdate(lay, spanLBAs(7, 3), nil)
+	plan := planUpdate(lay, appendSpan(nil, 7, 3), nil)
 	// Contiguous data on one disk; parity for 3 consecutive area offsets
 	// is contiguous in one parity area.
 	if len(plan.dataRuns) != 1 {
@@ -164,31 +166,99 @@ func TestPlanUpdateParityStriping(t *testing.T) {
 	}
 }
 
-func TestLatch(t *testing.T) {
+func TestJoin(t *testing.T) {
 	fired := 0
-	l := newLatch(3, func() { fired++ })
-	l.done()
-	l.done()
+	done := join(3, func() { fired++ })
+	done()
+	done()
 	if fired != 0 {
-		t.Fatal("latch fired early")
+		t.Fatal("join fired early")
 	}
-	l.done()
+	done()
 	if fired != 1 {
-		t.Fatal("latch did not fire")
+		t.Fatal("join did not fire")
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("over-release should panic")
 		}
 	}()
-	l.done()
+	done()
 }
 
-func TestLatchZeroFiresImmediately(t *testing.T) {
+func TestJoinZeroFiresImmediately(t *testing.T) {
 	fired := false
-	newLatch(0, func() { fired = true })
+	join(0, func() { fired = true })
 	if !fired {
-		t.Fatal("zero latch did not fire")
+		t.Fatal("zero join did not fire")
+	}
+}
+
+// TestRunsReuseMatchesFresh: mapping into a recycled run list (the pooled
+// ops' pattern, runs[:0]) gives exactly what a fresh list gives, and no
+// two runs share lbas backing afterwards.
+func TestRunsReuseMatchesFresh(t *testing.T) {
+	lay := layout.NewRAID5(4, 100, 2)
+	batches := [][]int64{
+		appendSpan(nil, 0, 17),
+		appendSpan(nil, 50, 3),
+		{90, 3, 91, 4, 40},
+		appendSpan(nil, 7, 30),
+	}
+	var runs []run
+	for _, b := range batches {
+		runs = dataRuns(runs[:0], lay, b)
+		want := dataRuns(nil, lay, b)
+		if !reflect.DeepEqual(runs, want) {
+			t.Fatalf("batch %v: reused runs %+v, fresh %+v", b, runs, want)
+		}
+		for i := range runs {
+			for j := i + 1; j < len(runs); j++ {
+				if cap(runs[i].lbas) > 0 && cap(runs[j].lbas) > 0 && &runs[i].lbas[:1][0] == &runs[j].lbas[:1][0] {
+					t.Fatalf("runs %d and %d share lbas backing", i, j)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanRebuildMatchesFresh: a plan rebuilt in place over batches of
+// different shapes matches a freshly built one field for field.
+func TestPlanRebuildMatchesFresh(t *testing.T) {
+	lays := []layout.ParityLayout{
+		layout.NewRAID5(4, 100, 1),
+		layout.NewRAID5(5, 100, 4),
+		layout.NewParityStriping(4, 100, layout.MiddlePlacement, 0),
+	}
+	batches := [][]int64{
+		appendSpan(nil, 0, 4),
+		appendSpan(nil, 3, 9),
+		{40, 1, 2, 60, 3, 0},
+		appendSpan(nil, 10, 1),
+		appendSpan(nil, 20, 25),
+	}
+	hasOld := func(l int64) bool { return l%3 == 0 }
+	for _, lay := range lays {
+		var p updatePlan
+		for _, b := range batches {
+			for _, ho := range []func(int64) bool{nil, hasOld} {
+				p.build(lay, b, ho)
+				want := planUpdate(lay, b, ho)
+				if !reflect.DeepEqual(p.dataRuns, want.dataRuns) ||
+					!reflect.DeepEqual(p.dataRMW, want.dataRMW) ||
+					!reflect.DeepEqual(p.parityRuns, want.parityRuns) {
+					t.Fatalf("%T %v: rebuilt plan differs from fresh", lay, b)
+				}
+				if len(p.deps) != len(want.deps) {
+					t.Fatalf("%T %v: %d dep lists, want %d", lay, b, len(p.deps), len(want.deps))
+				}
+				for i := range p.deps {
+					if !slices.Equal(p.deps[i], want.deps[i]) {
+						t.Fatalf("%T %v: deps[%d] = %v, want %v", lay, b, i, p.deps[i], want.deps[i])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -28,15 +28,17 @@ func (s *mirrorScheme) keepOldData() bool { return false }
 
 // fetchRuns picks, per run, the mirror copy with the shorter seek. A
 // dead copy never wins: reads fail over to the survivor.
-func (s *mirrorScheme) fetchRuns(lbas []int64) []run {
-	prim := dataRuns(s.lay, lbas)
+func (s *mirrorScheme) fetchRuns(dst []run, lbas []int64) []run {
+	base := len(dst)
+	dst = dataRuns(dst, s.lay, lbas)
+	prim := dst[base:]
 	for i := range prim {
 		rn := &prim[i]
 		if pickMirrorCopy(s.c, rn.disk, rn.start) {
 			rn.disk++
 		}
 	}
-	return prim
+	return dst
 }
 
 // pickMirrorCopy reports whether a read of physical block start should go
@@ -54,19 +56,20 @@ func pickMirrorCopy(c *common, primary int, start int64) bool {
 		}
 	}
 	d0, d1 := c.disks[primary], c.disks[primary+1]
-	cyl := c.cfg.Spec.ToCHS(start).Cylinder
+	cyl := d0.CylinderOf(start)
 	dist0 := max(d0.Cylinder()-cyl, cyl-d0.Cylinder())
 	dist1 := max(d1.Cylinder()-cyl, cyl-d1.Cylinder())
 	return dist1 < dist0 || (dist1 == dist0 && d1.QueueLen() < d0.QueueLen())
 }
 
 func (s *mirrorScheme) write(w writeOp) {
-	runs := append(dataRuns(s.lay, w.lbas), altRuns(s.lay, w.lbas)...)
+	op := s.c.newUpdateOp(w)
+	op.runs = altRuns(dataRuns(op.runs[:0], s.lay, w.lbas), s.lay, w.lbas)
 	if s.c.degradedNow() {
 		// Writes degrade to the surviving copy (or the rebuilding spare);
 		// a block is lost only when both copies of its pair are gone.
 		var dropped int
-		runs, dropped = s.c.filterWriteRuns(runs)
+		op.runs, dropped = s.c.filterWriteRuns(op.runs)
 		if dropped > 0 {
 			for _, l := range w.lbas {
 				if s.c.writeDown(s.lay.Map(l).Disk) && s.c.writeDown(s.lay.Alt(l).Disk) {
@@ -75,7 +78,7 @@ func (s *mirrorScheme) write(w writeOp) {
 			}
 		}
 	}
-	s.c.plainWrite(runs, w)
+	s.c.plainWrite(op)
 }
 
 // Mirrored-pair degraded mapping: reads fail over to the partner copy,

@@ -4,7 +4,6 @@ import (
 	"raidsim/internal/disk"
 	"raidsim/internal/layout"
 	"raidsim/internal/obs"
-	"raidsim/internal/sim"
 )
 
 // parityScheme is an N+1 rotating- or area-parity organization: RAID5
@@ -21,31 +20,16 @@ func (s *parityScheme) org() Org          { return s.o }
 func (s *parityScheme) dataBlocks() int64 { return s.lay.DataBlocks() }
 func (s *parityScheme) keepOldData() bool { return true }
 
-func (s *parityScheme) fetchRuns(lbas []int64) []run { return dataRuns(s.lay, lbas) }
+func (s *parityScheme) fetchRuns(dst []run, lbas []int64) []run { return dataRuns(dst, s.lay, lbas) }
 
 func (s *parityScheme) write(w writeOp) {
 	if s.c.degradedNow() {
 		s.c.parityDegradedWrite(s.lay, w)
 		return
 	}
-	plan := planUpdate(s.lay, w.lbas, w.hasOld)
-	n := plan.totalRuns()
-	var stagger sim.Time
-	if len(plan.dataRuns) > 1 && w.spread > 0 {
-		stagger = w.spread / sim.Time(len(plan.dataRuns))
-	}
-	s.c.acquireAndXfer(n, w.xfer, w.span, func() {
-		s.c.executeUpdate(plan, updateOpts{
-			policy:  s.c.cfg.Sync,
-			pri:     w.pri,
-			stagger: stagger,
-			span:    w.span,
-			onDone: func() {
-				s.c.buf.Release(n)
-				w.onDone()
-			},
-		})
-	})
+	op := s.c.newUpdateOp(w)
+	op.plan.build(s.lay, w.lbas, w.hasOld)
+	s.c.parityUpdate(op, s.c.cfg.Sync, nil)
 }
 
 func (s *parityScheme) onFail(d int)               { s.c.parityOnFail(d) }
@@ -105,37 +89,25 @@ func (c *common) parityReadFallback(lay layout.ParityLayout, rn run, pri disk.Pr
 		}
 		srcs = append(srcs, p)
 	}
-	done := newLatch(len(srcs), onDone)
+	done := join(len(srcs), onDone)
 	for _, s := range srcs {
 		var leg *obs.Span
 		if op != nil {
 			leg = op.Child("reconstruct", c.eng.Now())
 			leg.SetBlocks(1)
 		}
-		c.mediaRead(run{disk: s.Disk, start: s.Block, blocks: 1}, pri, 0, 0, leg, done.done)
+		c.mediaRead(run{disk: s.Disk, start: s.Block, blocks: 1}, pri, 0, 0, leg, done)
 	}
 	return true
-}
-
-// parityDegradedWrite applies a write batch to a parity layout with
-// failures present, behind the standard envelope.
-func (c *common) parityDegradedWrite(lay layout.ParityLayout, w writeOp) {
-	n := len(w.lbas)
-	c.acquireAndXfer(n, w.xfer, w.span, func() {
-		c.degradedUpdate(lay, w.lbas, w.pri, w.span, func() {
-			c.buf.Release(n)
-			w.onDone()
-		})
-	})
 }
 
 // degradedUpdate applies a batch of block writes to a parity layout with
 // failures present, block at a time (run merging and policy scheduling
 // don't survive the per-block case analysis).
 func (c *common) degradedUpdate(lay layout.ParityLayout, lbas []int64, pri disk.Priority, sp *obs.Span, onDone func()) {
-	done := newLatch(len(lbas), onDone)
+	done := join(len(lbas), onDone)
 	for _, l := range lbas {
-		c.degradedWriteBlock(lay, l, pri, sp, done.done)
+		c.degradedWriteBlock(lay, l, pri, sp, done)
 	}
 }
 
@@ -183,14 +155,14 @@ func (c *common) degradedWriteBlock(lay layout.ParityLayout, l int64, pri disk.P
 			srcs = append(srcs, loc)
 		}
 		c.parityAccesses++
-		read := newLatch(len(srcs), func() {
+		read := join(len(srcs), func() {
 			c.disks[p.Disk].Submit(&disk.Request{
 				StartBlock: p.Block, Blocks: 1, Write: true,
 				Priority: pri, Span: opSpan("write-parity"), OnDone: onDone,
 			})
 		})
 		for _, s := range srcs {
-			c.mediaRead(run{disk: s.Disk, start: s.Block, blocks: 1}, pri, 0, 0, opSpan("reconstruct"), read.done)
+			c.mediaRead(run{disk: s.Disk, start: s.Block, blocks: 1}, pri, 0, 0, opSpan("reconstruct"), read)
 		}
 	case parityDown:
 		c.disks[home.Disk].Submit(&disk.Request{
@@ -200,20 +172,20 @@ func (c *common) degradedWriteBlock(lay layout.ParityLayout, l int64, pri disk.P
 	default:
 		readDone := false
 		c.parityAccesses++
-		all := newLatch(2, onDone)
+		all := join(2, onDone)
 		dreq := &disk.Request{
 			StartBlock: home.Block, Blocks: 1, Write: true, RMW: true,
 			Priority:   pri,
 			Span:       opSpan("rmw-data"),
 			OnReadDone: func() { readDone = true },
-			OnDone:     all.done,
+			OnDone:     all,
 		}
 		dreq.OnStart = func() {
 			c.disks[p.Disk].Submit(&disk.Request{
 				StartBlock: p.Block, Blocks: 1, Write: true, RMW: true,
 				Priority: pri, Ready: func() bool { return readDone },
 				Span:   opSpan("rmw-parity"),
-				OnDone: all.done,
+				OnDone: all,
 			})
 		}
 		c.disks[home.Disk].Submit(dreq)

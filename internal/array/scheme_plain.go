@@ -20,13 +20,14 @@ func (s *plainScheme) org() Org          { return s.o }
 func (s *plainScheme) dataBlocks() int64 { return s.lay.DataBlocks() }
 func (s *plainScheme) keepOldData() bool { return false }
 
-func (s *plainScheme) fetchRuns(lbas []int64) []run { return dataRuns(s.lay, lbas) }
+func (s *plainScheme) fetchRuns(dst []run, lbas []int64) []run { return dataRuns(dst, s.lay, lbas) }
 
 func (s *plainScheme) write(w writeOp) {
-	runs := dataRuns(s.lay, w.lbas)
-	runs, dropped := s.c.filterWriteRuns(runs)
+	op := s.c.newUpdateOp(w)
+	var dropped int
+	op.runs, dropped = s.c.filterWriteRuns(dataRuns(op.runs[:0], s.lay, w.lbas))
 	s.c.fs.lostWriteBlocks += int64(dropped)
-	s.c.plainWrite(runs, w)
+	s.c.plainWrite(op)
 }
 
 // No redundancy: every failure loses data, nothing can rebuild a spare,

@@ -107,6 +107,7 @@ type Disk struct {
 	eng  *sim.Engine
 	spec geom.Spec
 	seek geom.SeekModel
+	g    geometry
 
 	phase  float64 // initial rotational phase, fraction of a revolution
 	cyl    int     // current arm cylinder
@@ -133,6 +134,45 @@ type Disk struct {
 	S Stats
 }
 
+// geometry holds the spec's derived quantities the service path uses,
+// computed once in New: deriving them per access copied the whole Spec
+// into every call. The values are the Spec methods' own results.
+type geometry struct {
+	bpt, bpc, bpd int64    // blocks per track, per cylinder, per disk
+	rot           sim.Time // one revolution
+	sector        sim.Time // one sector under the head
+	blockXfer     sim.Time // one block's media transfer
+	seek1         sim.Time // single-cylinder seek
+}
+
+func newGeometry(spec geom.Spec, seek geom.SeekModel) geometry {
+	return geometry{
+		bpt:       int64(spec.BlocksPerTrack()),
+		bpc:       int64(spec.BlocksPerCylinder()),
+		bpd:       spec.BlocksPerDisk(),
+		rot:       spec.RotationTime(),
+		sector:    spec.SectorTime(),
+		blockXfer: spec.BlockTransferTime(),
+		seek1:     seek.Time(1),
+	}
+}
+
+// toCHS is geom.Spec.ToCHS on the cached geometry.
+func (g *geometry) toCHS(block int64) geom.CHS {
+	if block < 0 || block >= g.bpd {
+		panic(fmt.Sprintf("geom: block %d out of range [0,%d)", block, g.bpd))
+	}
+	rem := block % g.bpc
+	return geom.CHS{
+		Cylinder: int(block / g.bpc),
+		Head:     int(rem / g.bpt),
+		Block:    int(rem % g.bpt),
+	}
+}
+
+// CylinderOf returns the cylinder holding the given block.
+func (d *Disk) CylinderOf(block int64) int { return d.g.toCHS(block).Cylinder }
+
 // SetProbe attaches an observability probe (nil detaches it).
 func (d *Disk) SetProbe(p Probe) { d.probe = p }
 
@@ -143,7 +183,7 @@ func New(eng *sim.Engine, id int, spec geom.Spec, seek geom.SeekModel, phase flo
 	if phase < 0 || phase >= 1 {
 		return nil, fmt.Errorf("disk: phase %f outside [0,1)", phase)
 	}
-	return &Disk{ID: id, eng: eng, spec: spec, seek: seek, phase: phase}, nil
+	return &Disk{ID: id, eng: eng, spec: spec, seek: seek, g: newGeometry(spec, seek), phase: phase}, nil
 }
 
 // SetSlowFactor stretches (factor > 1) or restores (factor <= 1) the
@@ -277,9 +317,9 @@ func (d *Disk) Submit(r *Request) {
 	if r.Blocks <= 0 {
 		panic("disk: request with no blocks")
 	}
-	if r.StartBlock < 0 || r.StartBlock+int64(r.Blocks) > d.spec.BlocksPerDisk() {
+	if r.StartBlock < 0 || r.StartBlock+int64(r.Blocks) > d.g.bpd {
 		panic(fmt.Sprintf("disk %d: request [%d,%d) outside drive [0,%d)",
-			d.ID, r.StartBlock, r.StartBlock+int64(r.Blocks), d.spec.BlocksPerDisk()))
+			d.ID, r.StartBlock, r.StartBlock+int64(r.Blocks), d.g.bpd))
 	}
 	if r.RMW && !r.Write {
 		panic("disk: RMW request must be a write")
@@ -328,7 +368,7 @@ func (d *Disk) trySchedule() {
 // angleAt returns the rotational position at time t as a fraction of a
 // revolution in [0, 1).
 func (d *Disk) angleAt(t sim.Time) float64 {
-	rot := d.spec.RotationTime()
+	rot := d.g.rot
 	pos := float64(t%rot)/float64(rot) + d.phase
 	return pos - math.Floor(pos)
 }
@@ -341,7 +381,7 @@ func (d *Disk) rotationalDelay(t sim.Time, a float64) sim.Time {
 	if frac < 0 {
 		frac++
 	}
-	return sim.Time(frac * float64(d.spec.RotationTime()))
+	return sim.Time(frac * float64(d.g.rot))
 }
 
 // transferPlan describes the media pass over a contiguous block run.
@@ -356,18 +396,17 @@ type transferPlan struct {
 // a single-cylinder seek, with the layout skewed so no additional
 // rotation is lost.
 func (d *Disk) planTransfer(start int64, n int) transferPlan {
-	bt := d.spec.BlockTransferTime()
-	dur := sim.Time(n) * bt
-	startCyl := d.spec.ToCHS(start).Cylinder
-	endCyl := d.spec.ToCHS(start + int64(n) - 1).Cylinder
+	dur := sim.Time(n) * d.g.blockXfer
+	startCyl := d.g.toCHS(start).Cylinder
+	endCyl := d.g.toCHS(start + int64(n) - 1).Cylinder
 	if crossings := endCyl - startCyl; crossings > 0 {
-		dur += sim.Time(crossings) * d.seek.Time(1)
+		dur += sim.Time(crossings) * d.g.seek1
 	}
 	return transferPlan{duration: dur, endCyl: endCyl}
 }
 
 func (d *Disk) service(r *Request, now sim.Time) {
-	chs := d.spec.ToCHS(r.StartBlock)
+	chs := d.g.toCHS(r.StartBlock)
 	dist := chs.Cylinder - d.cyl
 	if dist < 0 {
 		dist = -dist
@@ -384,13 +423,13 @@ func (d *Disk) service(r *Request, now sim.Time) {
 	d.cyl = chs.Cylinder
 
 	arrive := now + seekT
-	startAngle := d.spec.AngleOfBlock(chs.Block)
+	startAngle := float64(chs.Block) / float64(d.g.bpt) // geom.Spec.AngleOfBlock
 	latency := d.rotationalDelay(arrive, startAngle)
 	d.S.RotateTime += latency
 	var plan transferPlan
 	if r.TransferSectors > 0 {
 		plan = transferPlan{
-			duration: d.spec.SectorTime() * sim.Time(r.TransferSectors),
+			duration: d.g.sector * sim.Time(r.TransferSectors),
 			endCyl:   chs.Cylinder,
 		}
 	} else {
@@ -455,7 +494,7 @@ func rmwReadDoneFire(e *sim.Engine, c *sim.Call) {
 	if r.OnReadDone != nil {
 		r.OnReadDone()
 	}
-	rot := d.spec.RotationTime()
+	rot := d.g.rot
 	k := (dur + rot - 1) / rot
 	if k < 1 {
 		k = 1
@@ -493,13 +532,13 @@ func rmwWriteFire(e *sim.Engine, c *sim.Call) {
 	writeStart := e.Now()
 	if r.Ready != nil && !r.Ready() {
 		d.S.HeldRotations++
-		r.Span.ChildSpan(obs.SpanHold, writeStart, writeStart+d.spec.RotationTime())
+		r.Span.ChildSpan(obs.SpanHold, writeStart, writeStart+d.g.rot)
 		if holds+1 >= maxHeldRotations {
 			d.S.RMWAborts++
 			d.requeue(r)
 			return
 		}
-		d.rmwWriteAttempt(r, writeStart+d.spec.RotationTime(), dur, svcStart, holds+1)
+		d.rmwWriteAttempt(r, writeStart+d.g.rot, dur, svcStart, holds+1)
 		return
 	}
 	d.S.TransferTime += dur

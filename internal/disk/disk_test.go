@@ -264,3 +264,34 @@ func TestPhaseAffectsLatency(t *testing.T) {
 		t.Fatal("latency should vary with phase")
 	}
 }
+
+// TestCachedGeometryMatchesSpec: the geometry a drive caches at New maps
+// every block of the default drive exactly as geom.Spec.ToCHS does, and
+// its timing constants are the Spec's own.
+func TestCachedGeometryMatchesSpec(t *testing.T) {
+	_, d, spec := newTestDisk(t, 0)
+	g := &d.g
+	for b := int64(0); b < spec.BlocksPerDisk(); b++ {
+		if got, want := g.toCHS(b), spec.ToCHS(b); got != want {
+			t.Fatalf("block %d: cached %+v, spec %+v", b, got, want)
+		}
+		if got, want := d.CylinderOf(b), spec.ToCHS(b).Cylinder; got != want {
+			t.Fatalf("block %d: CylinderOf %d, want %d", b, got, want)
+		}
+	}
+	if g.rot != spec.RotationTime() || g.sector != spec.SectorTime() ||
+		g.blockXfer != spec.BlockTransferTime() || g.bpd != spec.BlocksPerDisk() ||
+		g.seek1 != geom.MustCalibrateSeek(spec).Time(1) {
+		t.Fatalf("cached timing %+v differs from the spec", *g)
+	}
+	for _, b := range []int64{-1, spec.BlocksPerDisk()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("block %d: no out-of-range panic", b)
+				}
+			}()
+			g.toCHS(b)
+		}()
+	}
+}

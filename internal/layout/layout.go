@@ -42,6 +42,9 @@ type ParityLayout interface {
 	// stored at Parity(l). Members whose logical address falls outside
 	// [0, DataBlocks()) are omitted.
 	StripeMembers(l int64) []int64
+	// AppendStripeMembers appends StripeMembers(l) to dst, so a caller
+	// that reuses dst maps stripes without allocating.
+	AppendStripeMembers(dst []int64, l int64) []int64
 }
 
 // MirrorLayout is a DataLayout where every block has a second copy.

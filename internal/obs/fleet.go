@@ -109,7 +109,7 @@ func (l *Live) SetFleet(total int) {
 	}
 	l.mu.Lock()
 	l.fleetTotal = total
-	l.fleetStart = time.Now()
+	l.fleetStart = l.now()
 	l.execStart = time.Time{}
 	l.runs = make(map[string]RunStatus, total)
 	l.workers = nil
@@ -128,7 +128,7 @@ func (l *Live) RunStarted(id, group string, seed uint64, worker int) {
 	l.mu.Lock()
 	l.ensureFleet()
 	if l.execStart.IsZero() {
-		l.execStart = time.Now()
+		l.execStart = l.now()
 	}
 	l.started++
 	l.runs[id] = RunStatus{ID: id, Group: group, Seed: seed, Worker: worker, State: "running"}
@@ -214,7 +214,7 @@ func (l *Live) ensureFleet() {
 		l.groups = map[string]*groupAgg{}
 	}
 	if l.fleetStart.IsZero() {
-		l.fleetStart = time.Now()
+		l.fleetStart = l.now()
 	}
 }
 
@@ -255,13 +255,13 @@ func (l *Live) Fleet() FleetStatus {
 		f.Running = 0
 	}
 	if !l.fleetStart.IsZero() {
-		f.ElapsedSec = time.Since(l.fleetStart).Seconds()
+		f.ElapsedSec = l.now().Sub(l.fleetStart).Seconds()
 	}
 	if f.ElapsedSec > 0 {
 		f.EventsPerSec = float64(f.Events) / f.ElapsedSec
 	}
 	if !l.execStart.IsZero() {
-		f.ExecElapsedSec = time.Since(l.execStart).Seconds()
+		f.ExecElapsedSec = l.now().Sub(l.execStart).Seconds()
 	}
 	if f.ExecElapsedSec > 0 {
 		f.FreshEventsPerSec = float64(f.FreshEvents) / f.ExecElapsedSec

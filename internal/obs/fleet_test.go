@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"raidsim/internal/sim"
 )
@@ -73,8 +74,11 @@ func TestFleetLifecycle(t *testing.T) {
 // first RunStarted (after the replay pass), not at SetFleet.
 func TestFleetFreshAccounting(t *testing.T) {
 	l := NewLive()
+	clock := time.Unix(1_000_000, 0)
+	l.now = func() time.Time { return clock }
 	l.SetFleet(3)
 	// Replay pass: two resumed runs, no RunStarted.
+	clock = clock.Add(5 * time.Second)
 	l.RunFinished(RunStatus{ID: "r1", Group: "g", State: "resumed", Events: 500_000, Requests: 50})
 	l.RunFinished(RunStatus{ID: "r2", Group: "g", State: "resumed", Events: 500_000, Requests: 50})
 	f := l.Fleet()
@@ -84,18 +88,25 @@ func TestFleetFreshAccounting(t *testing.T) {
 	if f.Events != 1_000_000 {
 		t.Errorf("replayed events %d, want 1000000 in the journal-inclusive total", f.Events)
 	}
-	// One fresh execution.
+	// One fresh execution, 2 ms of host time after the replay pass.
 	l.RunStarted("x", "g", 1, 0)
+	clock = clock.Add(2 * time.Millisecond)
 	l.RunFinished(RunStatus{ID: "x", Group: "g", State: "done", WallMS: 2, Events: 700, Requests: 10})
 	f = l.Fleet()
 	if f.FreshEvents != 700 {
 		t.Errorf("fresh events %d, want 700", f.FreshEvents)
 	}
-	if f.ExecElapsedSec <= 0 {
-		t.Errorf("exec clock never started: %+v", f)
+	if f.ExecElapsedSec != 0.002 {
+		t.Errorf("exec clock %g s, want 0.002 (started at the first RunStarted)", f.ExecElapsedSec)
+	}
+	if f.ElapsedSec != 5.002 {
+		t.Errorf("fleet clock %g s, want 5.002 (started at SetFleet)", f.ElapsedSec)
 	}
 	if f.FreshEventsPerSec > 1e9 {
 		t.Errorf("fresh rate %g absurd: replayed events must not feed it", f.FreshEventsPerSec)
+	}
+	if want := 700 / 0.002; f.FreshEventsPerSec != want {
+		t.Errorf("fresh rate %g, want %g", f.FreshEventsPerSec, want)
 	}
 }
 

@@ -37,6 +37,10 @@ type ArraySnapshot struct {
 type Live struct {
 	mu     sync.Mutex
 	arrays map[int]ArraySnapshot
+	// now reads the host clock behind every fleet elapsed-time and rate
+	// figure; tests swap in a fake clock so those figures do not depend
+	// on how fast the host runs.
+	now func() time.Time
 
 	// Fleet state (fleet.go). Armed by SetFleet; zero until then.
 	fleetTotal int
@@ -59,7 +63,7 @@ type Live struct {
 }
 
 // NewLive returns an empty registry.
-func NewLive() *Live { return &Live{arrays: map[int]ArraySnapshot{}} }
+func NewLive() *Live { return &Live{arrays: map[int]ArraySnapshot{}, now: time.Now} }
 
 // Publish stores the snapshot (keyed by its Array field).
 func (l *Live) Publish(s ArraySnapshot) {

@@ -184,12 +184,18 @@ func (t *Trace) Truncate(n int) *Trace {
 // group: group g holds logical disks [g*perGroup, (g+1)*perGroup), the
 // last group taking any remainder. Each sub-trace keeps global timestamps
 // and is re-addressed to its own compact logical space, which is what an
-// independent array simulation consumes.
+// independent array simulation consumes. Each sub-trace's Records is
+// allocated once, at its exact size.
 func (t *Trace) SplitByGroup(perGroup int) ([]*Trace, error) {
 	if perGroup <= 0 {
 		return nil, fmt.Errorf("trace: group size must be positive, got %d", perGroup)
 	}
 	ngroups := (t.NumDisks + perGroup - 1) / perGroup
+	group := func(r Record) int { return int(r.LBA / t.BlocksPerDisk / int64(perGroup)) }
+	counts := make([]int, ngroups)
+	for _, r := range t.Records {
+		counts[group(r)]++
+	}
 	out := make([]*Trace, ngroups)
 	for g := range out {
 		disks := perGroup
@@ -202,9 +208,12 @@ func (t *Trace) SplitByGroup(perGroup int) ([]*Trace, error) {
 			BlocksPerDisk: t.BlocksPerDisk,
 			Classes:       copyClasses(t.Classes),
 		}
+		if counts[g] > 0 {
+			out[g].Records = make([]Record, 0, counts[g])
+		}
 	}
 	for _, r := range t.Records {
-		g := int(r.LBA / t.BlocksPerDisk / int64(perGroup))
+		g := group(r)
 		base := int64(g) * int64(perGroup) * t.BlocksPerDisk
 		r.LBA -= base
 		// A multiblock request never spans logical disks in the traces we

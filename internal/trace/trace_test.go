@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -114,6 +115,11 @@ func TestSplitByGroup(t *testing.T) {
 	if len(subs[0].Records) != 2 || len(subs[1].Records) != 2 {
 		t.Fatalf("group sizes %d/%d", len(subs[0].Records), len(subs[1].Records))
 	}
+	for g, sub := range subs {
+		if cap(sub.Records) != len(sub.Records) {
+			t.Fatalf("group %d: cap %d != len %d: records not presized", g, cap(sub.Records), len(sub.Records))
+		}
+	}
 	// Re-addressing: group 1's first record was LBA 2100 (disk 2) ->
 	// 2100 - 2*1000 = 100.
 	if subs[1].Records[0].LBA != 100 {
@@ -158,12 +164,45 @@ func TestSplitPreservesEverything(t *testing.T) {
 			if sub.Validate() != nil {
 				return false
 			}
+			if cap(sub.Records) != len(sub.Records) {
+				return false
+			}
 		}
-		return total == len(tr.Records)
+		return total == len(tr.Records) && reflect.DeepEqual(subs, splitByAppend(tr, per))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// splitByAppend is SplitByGroup as it was before presizing: records grow
+// each sub-trace by append. The presized split must match it record for
+// record.
+func splitByAppend(t *Trace, perGroup int) []*Trace {
+	ngroups := (t.NumDisks + perGroup - 1) / perGroup
+	out := make([]*Trace, ngroups)
+	for g := range out {
+		disks := perGroup
+		if g == ngroups-1 {
+			disks = t.NumDisks - g*perGroup
+		}
+		out[g] = &Trace{
+			Name:          fmt.Sprintf("%s/g%d", t.Name, g),
+			NumDisks:      disks,
+			BlocksPerDisk: t.BlocksPerDisk,
+			Classes:       copyClasses(t.Classes),
+		}
+	}
+	for _, r := range t.Records {
+		g := int(r.LBA / t.BlocksPerDisk / int64(perGroup))
+		r.LBA -= int64(g) * int64(perGroup) * t.BlocksPerDisk
+		sub := out[g]
+		if max := int64(sub.NumDisks)*sub.BlocksPerDisk - r.LBA; int64(r.Blocks) > max {
+			r.Blocks = int(max)
+		}
+		sub.Records = append(sub.Records, r)
+	}
+	return out
 }
 
 func TestMerge(t *testing.T) {
