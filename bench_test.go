@@ -289,8 +289,8 @@ func BenchmarkExtRAID3(b *testing.B) {
 // --- Controller Submit hot path ----------------------------------------
 
 // BenchmarkCampaign measures the fleet campaign runner end to end: a
-// 4-organization x 4-seed grid (16 runs) per iteration, sharded over 1
-// worker vs GOMAXPROCS-bounded pools. Reported runs/s and events/s feed
+// 4-organization x 4-seed grid (16 runs) per iteration, on campaign
+// pools of 1, 2, 4 and 8 workers. Reported runs/s and events/s feed
 // the campaign_scaling section of BENCH_array.json. Worker count never
 // changes results (TestWorkerCountInvariance pins that); only
 // wall-clock should move.

@@ -377,15 +377,14 @@ func TestSelfMetricsEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardInvariance re-runs the whole equivalence matrix under the
-// sharded intra-run execution model (Config.Shards: persistent per-shard
-// engines, Reset between arrays, round-robin array assignment) at shard
-// counts 1, 2 and 4 and demands the same golden fingerprints bit for
-// bit. Shards=1 exercises one engine sequentially reused across every
-// array; 2 matches the matrix's array count; 4 exercises the
-// shards-beyond-arrays clamp. Any drift means engine reuse leaked state
-// between arrays — the one thing Reset's determinism argument forbids.
-func TestShardInvariance(t *testing.T) {
+// TestWorkerInvariance re-runs the whole equivalence matrix at array
+// worker counts 1, 2 and 4 and demands the same golden fingerprints bit
+// for bit. Workers=1 reuses one engine, Reset between arrays, across
+// every array; 2 matches the matrix's array count; 4 exercises the
+// pool's clamp to the array count. Any drift means engine reuse leaked
+// state between arrays — the one thing Reset's determinism argument
+// forbids.
+func TestWorkerInvariance(t *testing.T) {
 	p := smallProfile()
 	p.Requests = 4000
 	p.Duration = 240 * sim.Second
@@ -393,14 +392,14 @@ func TestShardInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		for _, tc := range equivalenceCases {
 			cfg := core.Config{
 				Org: tc.org, DataDisks: 10, N: 5,
 				Spec: geom.Default(), Sync: tc.sync,
 				Cached: tc.cached, CacheMB: 8, Seed: 9,
 				Placement: layout.EndPlacement,
-				Shards:    shards,
+				Workers:   workers,
 			}
 			if tc.faulted {
 				cfg.Spares = 1
@@ -413,34 +412,25 @@ func TestShardInvariance(t *testing.T) {
 			}
 			res, err := core.Run(cfg, tr)
 			if err != nil {
-				t.Fatalf("%s/shards=%d: %v", tc.name, shards, err)
+				t.Fatalf("%s/workers=%d: %v", tc.name, workers, err)
 			}
 			want, ok := equivalenceGolden[tc.name]
 			if !ok {
 				continue
 			}
 			if got := fingerprint(res); got != want {
-				t.Errorf("%s/shards=%d: sharded execution changed the simulation\n got: %s\nwant: %s",
-					tc.name, shards, got, want)
-			}
-			wantShards := shards
-			if a := cfg.Arrays(); wantShards > a {
-				wantShards = a
-			}
-			if len(res.EngineShards) != wantShards {
-				t.Errorf("%s/shards=%d: %d shard meters, want %d", tc.name, shards, len(res.EngineShards), wantShards)
+				t.Errorf("%s/workers=%d: worker count changed the simulation\n got: %s\nwant: %s",
+					tc.name, workers, got, want)
 			}
 		}
 	}
 }
 
-// TestShardMeterSums is the property side of shard invariance: on a
-// system with more arrays than shards, the per-shard meters must
-// partition the run exactly — per-shard events sum to the run's event
-// total (shard engines execute nothing but their arrays' events), the
-// aggregate meter equals that sum, and the results match the unsharded
-// run bit for bit.
-func TestShardMeterSums(t *testing.T) {
+// TestWorkerMeterSums is the metering side of worker invariance: on the
+// five-array N=2 system, with engines reused across arrays, the
+// SelfMetrics meter counts exactly the run's events at every worker
+// count, and the results never move.
+func TestWorkerMeterSums(t *testing.T) {
 	p := smallProfile()
 	tr, err := workload.Generate(p)
 	if err != nil {
@@ -454,33 +444,23 @@ func TestShardMeterSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded := base
-	sharded.Shards = 3 // 5 arrays over 3 shards: strides {0,3}, {1,4}, {2}
-	res, err := core.Run(sharded, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fingerprint(res), fingerprint(plain); got != want {
-		t.Errorf("sharded run drifted from the per-array run\n got: %s\nwant: %s", got, want)
-	}
-	if len(res.EngineShards) != 3 {
-		t.Fatalf("%d shard meters, want 3", len(res.EngineShards))
-	}
-	var sum uint64
-	for s, m := range res.EngineShards {
-		if m.Events == 0 {
-			t.Errorf("shard %d metered no events", s)
+	for _, workers := range []int{1, 2, 3, 4} {
+		cfg := base
+		cfg.Workers = workers
+		cfg.SelfMetrics = true
+		res, err := core.Run(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if m.WallNS <= 0 {
-			t.Errorf("shard %d wall %d", s, m.WallNS)
+		if got, want := fingerprint(res), fingerprint(plain); got != want {
+			t.Errorf("workers=%d: metered run drifted from the plain run\n got: %s\nwant: %s", workers, got, want)
 		}
-		sum += m.Events
-	}
-	if sum != res.Events {
-		t.Errorf("per-shard events sum to %d, run executed %d", sum, res.Events)
-	}
-	if res.Engine.Events != sum {
-		t.Errorf("aggregate meter has %d events, shard sum is %d", res.Engine.Events, sum)
+		if res.Engine.Events != res.Events {
+			t.Errorf("workers=%d: meter counted %d events, run executed %d", workers, res.Engine.Events, res.Events)
+		}
+		if res.Engine.WallNS <= 0 {
+			t.Errorf("workers=%d: meter wall %d", workers, res.Engine.WallNS)
+		}
 	}
 }
 

@@ -5,23 +5,32 @@ import (
 	"testing"
 )
 
+// TestMapCoversEveryIndexOnce: every index runs exactly once, and the
+// pool is PoolSize wide, from the GOMAXPROCS default (0) through a width
+// past n.
 func TestMapCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
 		const n = 257
 		var hits [n]int32
-		Map(workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		stats := MapStats(workers, n, func(_, i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
 			}
 		}
+		if len(stats) != PoolSize(workers, n) {
+			t.Fatalf("workers=%d: %d stats rows, PoolSize says %d", workers, len(stats), PoolSize(workers, n))
+		}
+	}
+	if got := PoolSize(100, 7); got != 7 {
+		t.Fatalf("PoolSize(100, 7) = %d, want 7", got)
 	}
 }
 
 func TestMapEmptyAndNegative(t *testing.T) {
 	called := false
-	Map(4, 0, func(int) { called = true })
-	Map(4, -3, func(int) { called = true })
+	MapStats(4, 0, func(int, int) { called = true })
+	MapStats(4, -3, func(int, int) { called = true })
 	if called {
 		t.Fatal("fn called for empty range")
 	}
@@ -34,7 +43,7 @@ func TestMapReductionIsWorkerCountIndependent(t *testing.T) {
 	const n = 1000
 	reduce := func(workers int) float64 {
 		vals := make([]float64, n)
-		Map(workers, n, func(i int) { vals[i] = 1.0 / float64(i+1) })
+		MapStats(workers, n, func(_, i int) { vals[i] = 1.0 / float64(i+1) })
 		var sum float64
 		for _, v := range vals {
 			sum += v

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,13 +16,18 @@ type WorkerStats struct {
 	Busy   time.Duration
 }
 
-// MapStats is Map with per-worker occupancy accounting. Each worker owns
-// the stride {w, w+workers, w+2·workers, ...}; a worker that drains its
+// MapStats runs fn(worker, i) for every i in [0, n) on a pool of
+// PoolSize(workers, n) goroutines and returns when every call has
+// completed, with per-worker occupancy accounting. fn must be safe for
+// concurrent invocation on distinct indexes and must not assume any
+// execution order; calls that share a worker index never overlap, so fn
+// may keep per-worker state in a slice of PoolSize entries. Each worker
+// owns the stride {w, w+workers, w+2·workers, ...}; a worker that drains its
 // own stride scans the claim array for unclaimed indexes and steals them,
 // so a worker stuck on one long run (an overloaded config simulating for
 // minutes) cannot strand the rest of its stride while others sit idle.
 // Every index is claimed exactly once through a CAS, fn receives
-// (worker, i), and the same determinism contract as Map applies: fn
+// (worker, i), and the package's determinism contract applies: fn
 // writes index-addressed slots, reductions happen in index order after
 // return, so results never depend on the worker count — only the
 // WorkerStats do.
@@ -31,12 +35,7 @@ func MapStats(workers, n int, fn func(worker, i int)) []WorkerStats {
 	if n <= 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = PoolSize(workers, n)
 	stats := make([]WorkerStats, workers)
 	if workers == 1 {
 		t0 := time.Now()

@@ -1,12 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"raidsim/internal/array"
-	"raidsim/internal/obs"
 	"raidsim/internal/sim"
 	"raidsim/internal/trace"
 )
@@ -41,117 +39,77 @@ func (r *ClosedLoopResults) Throughput() float64 {
 // RunClosedLoop replays tr's request stream in closed-loop form against
 // cfg. Arrival timestamps in the trace are ignored.
 func RunClosedLoop(cfg Config, tr *trace.Trace, cl ClosedLoopConfig) (*ClosedLoopResults, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if cl.MPL < 1 {
 		return nil, fmt.Errorf("core: MPL must be >= 1")
 	}
-	if tr.NumDisks != cfg.DataDisks {
-		return nil, fmt.Errorf("core: trace has %d disks, config expects %d", tr.NumDisks, cfg.DataDisks)
-	}
-	subs, err := tr.SplitByGroup(cfg.N)
+	res, ends, err := runArrays(context.Background(), cfg, tr, cl.replay)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*array.Results, len(subs))
-	events := make([]uint64, len(subs))
-	spans := make([]sim.Time, len(subs))
-	errs := make([]error, len(subs))
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	widths := cfg.groupDisks(len(subs))
-	faults, err := cfg.groupFaults(widths)
-	if err != nil {
-		return nil, err
-	}
-
-	sem := make(chan struct{}, workers)
-	recs := make([]*obs.Recorder, len(subs))
-	var wg sync.WaitGroup
-	for g, sub := range subs {
-		wg.Add(1)
-		go func(g int, sub *trace.Trace) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ac := cfg.arrayConfig(g, widths[g], faults[g], sub.Classes)
-			recs[g] = ac.Rec
-			parts[g], events[g], spans[g], errs[g] = runOneArrayClosed(ac, sub, cl)
-		}(g, sub)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := &ClosedLoopResults{Results: *merge(cfg, parts, events)}
-	attachObs(&out.Results, recs)
-	for _, s := range spans {
-		if s > out.Makespan {
-			out.Makespan = s
-		}
+	out := &ClosedLoopResults{Results: *res}
+	for _, t := range ends {
+		out.Makespan = max(out.Makespan, t)
 	}
 	return out, nil
 }
 
-func runOneArrayClosed(cfg array.Config, sub *trace.Trace, cl ClosedLoopConfig) (*array.Results, uint64, sim.Time, error) {
-	eng := sim.New()
-	ctrl, err := array.New(eng, cfg)
-	if err != nil {
-		return nil, 0, 0, err
+// mplFeeder is the closed-loop admission source for one array: it keeps
+// up to MPL requests outstanding by submitting the next record
+// ThinkTime after each completion. Completions arrive through onDone,
+// bound once, and the think delay is a Call-form event, so the loop
+// allocates nothing per request beyond what the array itself does.
+type mplFeeder struct {
+	eng    *sim.Engine
+	ctrl   array.Controller
+	sub    *trace.Trace
+	cap64  int64
+	think  sim.Time
+	next   int      // index of the next record to submit
+	last   sim.Time // clock of the latest submission
+	onDone func()
+}
+
+// submit admits the next record, if any remain.
+func (f *mplFeeder) submit() {
+	if f.next >= len(f.sub.Records) {
+		return
 	}
-	capacity := ctrl.DataBlocks()
-	idx := 0
-	var submitNext func()
-	submitNext = func() {
-		if idx >= len(sub.Records) {
-			return
+	req := recordRequest(f.sub, f.next, f.cap64)
+	req.OnComplete = f.onDone
+	f.next++
+	f.last = f.eng.Now()
+	f.ctrl.Submit(req)
+}
+
+// complete funds the next submission, after the think time if any.
+func (f *mplFeeder) complete() {
+	if f.think > 0 {
+		f.eng.AfterCall(f.think, mplThink).A = f
+	} else {
+		f.submit()
+	}
+}
+
+func mplThink(_ *sim.Engine, c *sim.Call) { c.A.(*mplFeeder).submit() }
+
+// done reports the stream exhausted and the controller drained.
+func (f *mplFeeder) done() bool { return f.next >= len(f.sub.Records) && f.ctrl.Drained() }
+
+// replay is the closed-loop replayFunc: it submits the first MPL records
+// at time zero and steps the engine until done() first holds, which is
+// the array's makespan. Closed loops always make progress — every
+// completion funds the next submission — so an empty event heap, or
+// drainGrace without a submission, means the controller is wedged.
+func (cl ClosedLoopConfig) replay(eng *sim.Engine, ctrl array.Controller, sub *trace.Trace) error {
+	f := &mplFeeder{eng: eng, ctrl: ctrl, sub: sub, cap64: ctrl.DataBlocks(), think: cl.ThinkTime}
+	f.onDone = f.complete
+	for i := 0; i < cl.MPL; i++ {
+		f.submit()
+	}
+	for !f.done() {
+		if !eng.Step() || eng.Now() > f.last+drainGrace {
+			return fmt.Errorf("core: closed-loop replay of %q wedged at record %d", sub.Name, f.next)
 		}
-		r := sub.Records[idx]
-		idx++
-		lba := r.LBA
-		blocks := r.Blocks
-		if lba >= capacity {
-			lba %= capacity
-		}
-		if rem := capacity - lba; int64(blocks) > rem {
-			blocks = int(rem)
-		}
-		ctrl.Submit(array.Request{
-			Op: r.Op, LBA: lba, Blocks: blocks,
-			Class:  reqSLO(sub.Classes, r.Class, blocks),
-			CClass: r.Class,
-			OnComplete: func() {
-				if cl.ThinkTime > 0 {
-					eng.After(cl.ThinkTime, submitNext)
-				} else {
-					submitNext()
-				}
-			},
-		})
 	}
-	prime := cl.MPL
-	if prime > len(sub.Records) {
-		prime = len(sub.Records)
-	}
-	for i := 0; i < prime; i++ {
-		submitNext()
-	}
-	// Closed loops always make progress (every completion funds the next
-	// submission); run until the stream is exhausted and drained, with a
-	// generous step bound as a wedge detector.
-	for i := 0; i < 1<<26 && !(idx >= len(sub.Records) && ctrl.Drained()); i++ {
-		if !eng.Step() {
-			eng.RunFor(sim.Millisecond)
-		}
-	}
-	if !(idx >= len(sub.Records) && ctrl.Drained()) {
-		return nil, 0, 0, fmt.Errorf("core: closed-loop replay of %q wedged at record %d", sub.Name, idx)
-	}
-	return ctrl.Results(), eng.Steps(), eng.Now(), nil
+	return nil
 }

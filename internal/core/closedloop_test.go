@@ -98,3 +98,63 @@ func TestClosedLoopValidation(t *testing.T) {
 		t.Fatal("mismatched trace accepted")
 	}
 }
+
+// TestClosedLoopRejectsBlocksPerDiskMismatch: the closed loop validates
+// the trace against the disk model exactly as Run does.
+func TestClosedLoopRejectsBlocksPerDiskMismatch(t *testing.T) {
+	tr := closedLoopTrace(t)
+	bad := *tr
+	bad.BlocksPerDisk = 1234
+	cfg := Config{Org: array.OrgBase, DataDisks: 10, N: 10, Spec: geom.Default()}
+	if _, err := RunClosedLoop(cfg, &bad, ClosedLoopConfig{MPL: 2}); err == nil {
+		t.Fatal("trace with mismatched blocks/disk accepted")
+	}
+}
+
+// TestClosedLoopSelfMetrics: a metered closed loop meters every event it
+// executes and reports the same results as an unmetered one.
+func TestClosedLoopSelfMetrics(t *testing.T) {
+	tr := closedLoopTrace(t)
+	cfg := closedLoopCaseConfig(array.OrgRAID5, true, false)
+	cl := ClosedLoopConfig{MPL: 4, ThinkTime: 5 * sim.Millisecond}
+	plain, err := RunClosedLoop(cfg, tr, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SelfMetrics = true
+	res, err := RunClosedLoop(cfg, tr, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine.Events == 0 || res.Engine.Events != res.Events {
+		t.Fatalf("meter counted %d events, results report %d", res.Engine.Events, res.Events)
+	}
+	if got, want := closedLoopFingerprint(res), closedLoopFingerprint(plain); got != want {
+		t.Fatalf("metering changed the closed loop\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// TestClosedLoopWorkerInvariance: the closed-loop fingerprints do not
+// depend on how many workers, and so how many reused engines, simulate
+// the arrays.
+func TestClosedLoopWorkerInvariance(t *testing.T) {
+	tr := closedLoopTrace(t)
+	for _, tc := range closedLoopCases {
+		cfg := closedLoopCaseConfig(tc.org, tc.cached, tc.faulted)
+		cl := ClosedLoopConfig{MPL: tc.mpl, ThinkTime: tc.think}
+		var want string
+		for _, workers := range []int{1, 2, 4} {
+			cfg.Workers = workers
+			res, err := RunClosedLoop(cfg, tr, cl)
+			if err != nil {
+				t.Fatalf("%s/workers=%d: %v", tc.name, workers, err)
+			}
+			got := closedLoopFingerprint(res)
+			if workers == 1 {
+				want = got
+			} else if got != want {
+				t.Errorf("%s/workers=%d: fingerprint moved\n got: %s\nwant: %s", tc.name, workers, got, want)
+			}
+		}
+	}
+}
